@@ -104,7 +104,7 @@ class NetBenchResult:
             f"p50={self.percentile_ms(50):.3f}ms "
             f"p95={self.percentile_ms(95):.3f}ms "
             f"p99={self.percentile_ms(99):.3f}ms "
-            f"max={self.latency.max_s * 1e3:.1f}ms | "
+            f"max={self.latency.vmax * 1e3:.1f}ms | "
             f"stall_retries={self.stall_retries}"
             + (
                 f" | client_retries={self.client_retries} "
@@ -846,7 +846,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             record_count=args.records,
             value_bytes=args.value_bytes,
             connections=args.connections,
-            compaction_spec=getattr(ProcedureSpec, args.procedure)(),
+            compaction_spec=ProcedureSpec.from_name(args.procedure),
             seed=args.seed,
         )
         for entry in table["runs"]:
@@ -958,7 +958,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             max_attempts=6, base_delay_s=0.01, seed=args.seed
         )
 
-    spec = getattr(ProcedureSpec, args.procedure)()
+    spec = ProcedureSpec.from_name(args.procedure)
     options = (
         Options(compaction_policy=args.compaction_policy)
         if args.compaction_policy is not None

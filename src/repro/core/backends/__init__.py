@@ -1,4 +1,4 @@
-"""Execution backends: virtual-time (DES) and real threads."""
+"""Execution backends: virtual-time (DES) and real execution."""
 
 from .simbackend import (
     PipelineConfig,
@@ -10,7 +10,6 @@ from .simbackend import (
 )
 from .threadbackend import (
     ExecutionStats,
-    ReorderBuffer,
     execute_pipelined,
     execute_scp,
 )
@@ -18,7 +17,6 @@ from .threadbackend import (
 __all__ = [
     "ExecutionStats",
     "PipelineConfig",
-    "ReorderBuffer",
     "ScheduleResult",
     "SimJob",
     "TimelineEvent",

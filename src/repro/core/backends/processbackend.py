@@ -1,35 +1,31 @@
-"""C-PPCP with *real* parallelism: compute stage on worker processes.
+"""C-PPCP's compute stage on worker processes (real parallelism).
 
-The thread backend's compute workers serialize on CPython's GIL, so
-its wall-clock gains cannot demonstrate the paper's CPU parallelism.
-This backend ships each sub-task's S2-S6 to a
-``concurrent.futures.ProcessPoolExecutor``: the parent process performs
-S1 (reads) and S7 (ordered writes) while workers verify, decompress,
-merge, compress, and re-checksum in genuinely parallel interpreters.
+Thread compute workers serialize on CPython's GIL, so their wall-clock
+gains cannot demonstrate the paper's CPU parallelism.  With
+``ProcedureSpec(backend="process")`` the pipelined driver
+(:func:`repro.core.backends.threadbackend.execute_pipelined`) ships
+each sub-task's S2-S6 to a ``concurrent.futures.ProcessPoolExecutor``
+through :func:`compute_remote`: the parent process performs S1 (reads)
+and S7 (ordered writes) while workers verify, decompress, merge,
+compress, and re-checksum in genuinely parallel interpreters.
 
 Costs and caveats (why this is optional, not the default):
 
 * every stored block is pickled to the worker and every encoded block
   back — fine for compaction-sized payloads, wasteful for tiny ones;
-* worker startup is ~100 ms per process; the pool should be reused
-  across compactions (pass ``pool=``) in a long-lived DB;
+* worker startup is ~100 ms per process, paid once per compaction;
 * determinism: output remains bit-identical to SCP because merge work
-  is order-independent and writes are reordered by sub-task index.
+  is order-independent and writes happen in sub-task order.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Optional, Sequence
+from typing import Optional
 
-from ...lsm.table_sink import EncodedBlock, TableSink
-from ...obs.tracer import NULL_TRACER, Tracer
-from ..steps import step_write
-from ..subtask import SubTask
-from .threadbackend import ExecutionStats, ReorderBuffer, run_subtask_read
+from ...lsm.table_sink import EncodedBlock
 
-__all__ = ["compute_remote", "execute_pipelined_mp"]
+__all__ = ["compute_remote"]
 
 
 def compute_remote(
@@ -42,10 +38,11 @@ def compute_remote(
     restart_interval: int,
     drop_deletes: bool,
     smallest_snapshot: Optional[int],
-) -> list[EncodedBlock]:
+) -> tuple[list[EncodedBlock], float]:
     """S2-S6 for one sub-task, runnable in a worker process.
 
     Takes only picklable primitives; reconstructs codecs by name.
+    Returns ``(encoded_blocks, compute_seconds)``, timed in the worker.
     """
     from ...codec.checksum import get_checksummer
     from ...codec.compress import get_codec
@@ -58,6 +55,7 @@ def compute_remote(
         step_rechecksum,
     )
 
+    t0 = time.perf_counter()
     checksummer = get_checksummer(checksummer_name)
     codec = get_codec(codec_name)
     stored = [StoredBlock(source, data) for source, data in stored_payloads]
@@ -69,97 +67,5 @@ def compute_remote(
         n_sources=n_sources, smallest_snapshot=smallest_snapshot,
     )
     compressed = step_compress(merged, codec)
-    return step_rechecksum(compressed, checksummer)
-
-
-def execute_pipelined_mp(
-    subtasks: Sequence[SubTask],
-    sink: TableSink,
-    codec_name: str,
-    checksummer_name: str,
-    block_bytes: int,
-    restart_interval: int = 16,
-    drop_deletes: bool = False,
-    compute_workers: int = 2,
-    max_inflight: Optional[int] = None,
-    smallest_snapshot: Optional[int] = None,
-    pool: Optional[ProcessPoolExecutor] = None,
-    tracer: Tracer = NULL_TRACER,
-) -> ExecutionStats:
-    """Run a compaction with process-parallel compute.
-
-    The parent reads sub-tasks ahead (bounded by ``max_inflight``),
-    dispatches compute to the pool, and writes completed sub-tasks in
-    index order.
-
-    Tracing: S1/S7 spans come from the parent like the thread backend's;
-    the remote S2–S6 work is recorded as one coarse ``S2-S6:compute``
-    span per sub-task spanning dispatch→completion as observed by the
-    parent (queue wait included — worker processes aren't instrumented).
-    """
-    if compute_workers < 1:
-        raise ValueError("compute_workers must be >= 1")
-    max_inflight = max_inflight or (2 * compute_workers)
-    stats = ExecutionStats()
-    own_pool = pool is None
-    executor = pool or ProcessPoolExecutor(max_workers=compute_workers)
-    t_start = time.perf_counter()
-    reorder = ReorderBuffer()
-    try:
-        pending = {}
-        dispatched_at: dict = {}
-        it = iter(subtasks)
-        exhausted = False
-        while True:
-            # Keep the pipeline primed: read + dispatch until full.
-            while not exhausted and len(pending) < max_inflight:
-                subtask = next(it, None)
-                if subtask is None:
-                    exhausted = True
-                    break
-                t0 = time.perf_counter()
-                stored = run_subtask_read(subtask, tracer=tracer)
-                stats.stage_seconds["read"] += time.perf_counter() - t0
-                payload = [(b.source, b.data) for b in stored]
-                future = executor.submit(
-                    compute_remote, payload, subtask.lower, subtask.upper,
-                    codec_name, checksummer_name, block_bytes,
-                    restart_interval, drop_deletes, smallest_snapshot,
-                )
-                pending[future] = subtask
-                dispatched_at[future] = tracer.now() if tracer.enabled else 0.0
-            if not pending:
-                break
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                subtask = pending.pop(future)
-                t_dispatch = dispatched_at.pop(future, 0.0)
-                encoded = future.result()  # re-raises worker exceptions
-                if tracer.enabled:
-                    tracer.add_complete(
-                        "S2-S6:compute", t_dispatch, tracer.now(),
-                        cat="compute", thread="mp-pool",
-                        subtask=subtask.index,
-                    )
-                for sub, enc in reorder.push(subtask.index, (subtask, encoded)):
-                    t0 = time.perf_counter()
-                    with tracer.span("S7:write", cat="write", subtask=sub.index):
-                        written = step_write(enc, sink)
-                    stats.stage_seconds["write"] += time.perf_counter() - t0
-                    stats.n_subtasks += 1
-                    stats.input_bytes += sub.input_bytes()
-                    stats.output_bytes += written
-                    stats.entries_out += sum(b.num_entries for b in enc)
-    finally:
-        if own_pool:
-            executor.shutdown(wait=True)
-    stats.wall_seconds = time.perf_counter() - t_start
-    # Compute happened remotely: report wall time minus read+write as a
-    # coarse compute attribution (overlapped, so this is indicative).
-    stats.stage_seconds["compute"] = max(
-        0.0,
-        stats.wall_seconds
-        - stats.stage_seconds["read"]
-        - stats.stage_seconds["write"],
-    )
-    return stats
+    encoded = step_rechecksum(compressed, checksummer)
+    return encoded, time.perf_counter() - t0

@@ -1,17 +1,15 @@
-"""Real-thread execution of the compaction procedures.
+"""Real execution of the compaction procedures.
 
-This backend actually runs the seven steps on real data with real
-``threading`` workers and bounded queues — the implementation a C++
-port would mirror, and the functional engine the DB uses.  It measures
+This backend actually runs the seven steps on real data — the
+implementation a C++ port would mirror, and the functional engine the
+DB uses.  :func:`execute_scp` is the paper's sequential baseline;
+:func:`execute_pipelined` is the one 3-stage driver behind PCP, S-PPCP
+and C-PPCP, whatever executor runs their compute stage.  It measures
 wall-clock stage times, but NOTE: under CPython's GIL the compute
-stages of concurrent sub-tasks serialize, so measured speedups are a
-*lower bound* on what the schedule allows; quantitative experiments
-use :mod:`repro.core.backends.simbackend` instead (see DESIGN.md).
-
-Write ordering: sub-tasks finish compute in any order when
-``compute_workers > 1``, but output tables must be key-ordered, so the
-write stage runs through :class:`ReorderBuffer`, releasing sub-task
-results strictly by index.
+stages of concurrent sub-tasks on threads serialize, so measured
+speedups are a *lower bound* on what the schedule allows; quantitative
+experiments use :mod:`repro.core.backends.simbackend` instead (see
+DESIGN.md).
 """
 
 from __future__ import annotations
@@ -19,10 +17,10 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
-from ...analysis.locksan import make_lock
 from ...codec.checksum import Checksummer
 from ...codec.compress import Codec
 from ...lsm.table_sink import EncodedBlock, TableSink
@@ -38,10 +36,10 @@ from ..steps import (
 )
 from ..subtask import SubTask
 
-__all__ = ["ExecutionStats", "ReorderBuffer", "run_subtask_compute",
-           "execute_scp", "execute_pipelined", "execute_pipelined_pooled"]
+__all__ = ["ExecutionStats", "run_subtask_compute", "run_subtask_read",
+           "execute_scp", "execute_pipelined"]
 
-_SENTINEL = object()
+_DONE = object()
 
 
 @dataclass
@@ -60,27 +58,13 @@ class ExecutionStats:
     def bandwidth(self) -> float:
         return self.input_bytes / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
-
-class ReorderBuffer:
-    """Release out-of-order results strictly by sub-task index."""
-
-    def __init__(self) -> None:
-        self._pending: dict[int, object] = {}
-        self._next = 0
-
-    def push(self, index: int, item: object) -> list[object]:
-        """Insert a result; return the (possibly empty) ready run."""
-        if index < self._next or index in self._pending:
-            raise ValueError(f"duplicate or stale sub-task index {index}")
-        self._pending[index] = item
-        ready = []
-        while self._next in self._pending:
-            ready.append(self._pending.pop(self._next))
-            self._next += 1
-        return ready
-
-    def __len__(self) -> int:
-        return len(self._pending)
+    def add_subtask(
+        self, subtask: SubTask, encoded: list[EncodedBlock], written: int
+    ) -> None:
+        self.n_subtasks += 1
+        self.input_bytes += subtask.input_bytes()
+        self.output_bytes += written
+        self.entries_out += sum(b.num_entries for b in encoded)
 
 
 def run_subtask_read(subtask: SubTask, tracer: Tracer = NULL_TRACER) -> list:
@@ -155,10 +139,7 @@ def execute_scp(
         stats.stage_seconds["read"] += t1 - t0
         stats.stage_seconds["compute"] += t2 - t1
         stats.stage_seconds["write"] += t3 - t2
-        stats.n_subtasks += 1
-        stats.input_bytes += subtask.input_bytes()
-        stats.output_bytes += written
-        stats.entries_out += sum(b.num_entries for b in encoded)
+        stats.add_subtask(subtask, encoded, written)
     stats.wall_seconds = time.perf_counter() - t_start
     return stats
 
@@ -166,201 +147,74 @@ def execute_scp(
 def execute_pipelined(
     subtasks: Sequence[SubTask],
     sink: TableSink,
-    codec: Codec,
-    checksummer: Checksummer,
-    block_bytes: int,
-    restart_interval: int = 16,
-    drop_deletes: bool = False,
-    compute_workers: int = 1,
+    submit: Callable[[SubTask, list], Future],
     queue_capacity: int = 2,
-    smallest_snapshot=None,
     tracer: Tracer = NULL_TRACER,
 ) -> ExecutionStats:
-    """PCP / C-PPCP with real threads.
+    """PCP / S-PPCP / C-PPCP: read | compute | write over sub-tasks.
 
-    Three stages — read thread, ``compute_workers`` compute threads,
-    write thread — connected by bounded queues.  The write thread
-    reorders results by sub-task index before appending to ``sink``.
-    Any stage exception cancels the run and re-raises.
-    """
-    if compute_workers < 1:
-        raise ValueError("compute_workers must be >= 1")
-    stats = ExecutionStats()
-    q1: queue.Queue = queue.Queue(maxsize=queue_capacity)
-    q2: queue.Queue = queue.Queue(maxsize=queue_capacity)
-    errors: list[BaseException] = []
-    error_lock = make_lock("pcp.errors")
-    stage_lock = make_lock("pcp.stage_stats")
+    A ``pcp-read`` thread runs S1 for each sub-task in order and hands
+    its blocks to ``submit(subtask, stored)``, which starts S2–S6 on
+    whatever executor the caller chose and returns a Future of
+    ``(encoded_blocks, compute_seconds)``.  The ``(subtask, future)``
+    pairs pass through a FIFO of ``queue_capacity``; the calling
+    thread waits on them in order and runs S7, so outputs stay
+    key-ordered however compute finishes.
 
-    def fail(exc: BaseException) -> None:
-        with error_lock:
-            errors.append(exc)
-
-    def reader() -> None:
-        try:
-            for subtask in subtasks:
-                if errors:
-                    break
-                t0 = time.perf_counter()
-                stored = run_subtask_read(subtask, tracer=tracer)
-                with stage_lock:
-                    stats.stage_seconds["read"] += time.perf_counter() - t0
-                q1.put((subtask, stored))
-        except BaseException as exc:  # pragma: no cover - defensive
-            fail(exc)
-        finally:
-            for _ in range(compute_workers):
-                q1.put(_SENTINEL)
-
-    def computer() -> None:
-        try:
-            while True:
-                item = q1.get()
-                if item is _SENTINEL:
-                    break
-                if errors:
-                    continue
-                subtask, stored = item
-                t0 = time.perf_counter()
-                encoded = run_subtask_compute(
-                    subtask, stored, codec, checksummer, block_bytes,
-                    restart_interval, drop_deletes, smallest_snapshot,
-                    tracer=tracer,
-                )
-                with stage_lock:
-                    stats.stage_seconds["compute"] += time.perf_counter() - t0
-                q2.put((subtask.index, subtask, encoded))
-        except BaseException as exc:
-            fail(exc)
-
-    def writer() -> None:
-        reorder = ReorderBuffer()
-        expected = len(subtasks)
-        done = 0
-        try:
-            while done < expected and not errors:
-                index, subtask, encoded = q2.get()
-                for sub, enc in reorder.push(index, (subtask, encoded)):
-                    t0 = time.perf_counter()
-                    with tracer.span("S7:write", cat="write", subtask=sub.index):
-                        written = step_write(enc, sink)
-                    with stage_lock:
-                        stats.stage_seconds["write"] += time.perf_counter() - t0
-                        stats.n_subtasks += 1
-                        stats.input_bytes += sub.input_bytes()
-                        stats.output_bytes += written
-                        stats.entries_out += sum(b.num_entries for b in enc)
-                    done += 1
-        except BaseException as exc:  # pragma: no cover - defensive
-            fail(exc)
-
-    t_start = time.perf_counter()
-    threads = [threading.Thread(target=reader, name="pcp-read")]
-    threads += [
-        threading.Thread(target=computer, name=f"pcp-compute{i}")
-        for i in range(compute_workers)
-    ]
-    write_thread = threading.Thread(target=writer, name="pcp-write")
-
-    for t in threads:
-        t.start()
-    write_thread.start()
-    for t in threads:
-        t.join()
-    # Unblock the writer if an error starved it.
-    if errors:
-        q2.put((10**9, None, None))
-    write_thread.join()
-    stats.wall_seconds = time.perf_counter() - t_start
-    if errors:
-        raise errors[0]
-    return stats
-
-
-def execute_pipelined_pooled(
-    subtasks: Sequence[SubTask],
-    sink: TableSink,
-    codec: Codec,
-    checksummer: Checksummer,
-    block_bytes: int,
-    pool,
-    restart_interval: int = 16,
-    drop_deletes: bool = False,
-    queue_capacity: int = 2,
-    smallest_snapshot=None,
-    tracer: Tracer = NULL_TRACER,
-) -> ExecutionStats:
-    """PCP with the compute stage on a *shared*, externally owned pool.
-
-    The per-compaction variant (:func:`execute_pipelined`) spawns its
-    own compute threads; with N shards compacting concurrently that is
-    N × k threads.  Here the caller thread runs S1 (read) and S7
-    (write) itself and submits each sub-task's S2–S6 to ``pool``
-    (anything with ``submit(fn, *args) -> Future``, e.g.
-    :class:`repro.cluster.SharedComputePool`), keeping up to
-    ``queue_capacity`` sub-tasks in flight.  Reads of upcoming
-    sub-tasks therefore overlap the pool's compute of earlier ones —
-    the paper's 3-stage overlap — while *aggregate* compute concurrency
-    across every concurrent compaction stays bounded by the pool.
-
-    Results complete in submission order (a FIFO of futures), so no
-    reorder buffer is needed and outputs stay key-ordered.  A failed
-    sub-task re-raises in the caller after draining in-flight futures,
-    preserving the retry/quarantine contract of the DB's compaction.
+    On any error the reader stops, every future still in flight is
+    cancelled or allowed to finish, and the first error re-raises here
+    — no stage is left blocked and no worker keeps touching this
+    compaction's tables, which the DB's retry/quarantine path needs.
     """
     if queue_capacity < 1:
         raise ValueError("queue_capacity must be >= 1")
     stats = ExecutionStats()
+    inflight: queue.Queue = queue.Queue(maxsize=queue_capacity)
+    stop = threading.Event()
+    read_errors: list[BaseException] = []
 
-    def compute_job(subtask: SubTask, stored: list):
-        t0 = time.perf_counter()
-        encoded = run_subtask_compute(
-            subtask, stored, codec, checksummer, block_bytes,
-            restart_interval, drop_deletes, smallest_snapshot,
-            tracer=tracer,
-        )
-        return encoded, time.perf_counter() - t0
+    def reader() -> None:
+        try:
+            for subtask in subtasks:
+                if stop.is_set():
+                    break
+                t0 = time.perf_counter()
+                stored = run_subtask_read(subtask, tracer=tracer)
+                read_s = time.perf_counter() - t0
+                inflight.put((subtask, read_s, submit(subtask, stored)))
+        except BaseException as exc:
+            read_errors.append(exc)
+        finally:
+            # The caller consumes until _DONE, so this never blocks for good.
+            inflight.put(_DONE)
 
     t_start = time.perf_counter()
-    pending: list = []  # FIFO of (subtask, future)
-    iterator = iter(subtasks)
-
-    def admit() -> bool:
-        subtask = next(iterator, None)
-        if subtask is None:
-            return False
-        t0 = time.perf_counter()
-        stored = run_subtask_read(subtask, tracer=tracer)
-        stats.stage_seconds["read"] += time.perf_counter() - t0
-        pending.append((subtask, pool.submit(compute_job, subtask, stored)))
-        return True
-
+    read_thread = threading.Thread(target=reader, name="pcp-read", daemon=True)
+    read_thread.start()
+    current = None
     try:
-        while len(pending) < queue_capacity and admit():
-            pass
-        while pending:
-            subtask, future = pending.pop(0)
-            encoded, compute_s = future.result()
-            stats.stage_seconds["compute"] += compute_s
+        while (item := inflight.get()) is not _DONE:
+            subtask, read_s, current = item
+            encoded, compute_s = current.result()
             t0 = time.perf_counter()
             with tracer.span("S7:write", cat="write", subtask=subtask.index):
                 written = step_write(encoded, sink)
+            stats.stage_seconds["read"] += read_s
+            stats.stage_seconds["compute"] += compute_s
             stats.stage_seconds["write"] += time.perf_counter() - t0
-            stats.n_subtasks += 1
-            stats.input_bytes += subtask.input_bytes()
-            stats.output_bytes += written
-            stats.entries_out += sum(b.num_entries for b in encoded)
-            admit()
+            stats.add_subtask(subtask, encoded, written)
     except BaseException:
-        # Let in-flight compute settle before re-raising so no pool
-        # worker is left touching this compaction's tables.
-        for _subtask, future in pending:
+        stop.set()
+        pending = [current] if current is not None else []
+        while (item := inflight.get()) is not _DONE:
+            pending.append(item[2])
+        for future in pending:
             future.cancel()
-        for _subtask, future in pending:
-            try:
-                future.result()
-            except BaseException:  # repro: noqa[RA105] original error wins
-                pass
+        wait(pending)
         raise
+    finally:
+        read_thread.join()
+    if read_errors:
+        raise read_errors[0]
     stats.wall_seconds = time.perf_counter() - t_start
     return stats

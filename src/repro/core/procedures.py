@@ -19,11 +19,13 @@ and execution output is bit-identical across procedures.
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from ..codec.checksum import get_checksummer
-from ..codec.compress import get_codec
+from ..codec.checksum import Checksummer, get_checksummer
+from ..codec.compress import Codec, get_codec
 from ..devices.base import Device
 from ..lsm.options import Options
 from ..lsm.table_reader import Table
@@ -37,11 +39,12 @@ from .backends.simbackend import (
     simulate_pipeline,
     simulate_scp,
 )
+from .backends.processbackend import compute_remote
 from .backends.threadbackend import (
     ExecutionStats,
     execute_pipelined,
-    execute_pipelined_pooled,
     execute_scp,
+    run_subtask_compute,
 )
 from .costmodel import DEFAULT_KV_BYTES, CostModel
 from .subtask import SubTask, partition_subtasks
@@ -111,6 +114,13 @@ class ProcedureSpec:
     def cppcp(cls, k: int, subtask_bytes: int = 1 << 20, **kw) -> "ProcedureSpec":
         return cls(CPPCP, k=k, subtask_bytes=subtask_bytes, **kw)
 
+    @classmethod
+    def from_name(cls, kind: str, **kw) -> "ProcedureSpec":
+        """The spec the CLI tools mean by ``kind``: k=2 when it takes k."""
+        if kind in (SPPCP, CPPCP):
+            kw.setdefault("k", 2)
+        return cls(kind, **kw)
+
     # -- mapping to backends -------------------------------------------
     @property
     def is_pipelined(self) -> bool:
@@ -159,9 +169,10 @@ def compact_tables(
 
     ``compute_pool`` (optional, pipelined thread-backend specs only)
     runs the S2–S6 compute stage on a shared, externally owned pool
-    (e.g. :class:`repro.cluster.SharedComputePool`) instead of
-    spawning per-compaction compute threads — how a sharded store
-    bounds aggregate compaction compute across N shards.
+    (anything with ``submit(fn, *args) -> Future``, e.g.
+    :class:`repro.cluster.SharedComputePool`) instead of a private
+    per-compaction pool — how a sharded store bounds aggregate
+    compaction compute across N shards.
     """
     spec = spec or ProcedureSpec.scp()
     subtasks = partition_subtasks(tables, spec.subtask_bytes, lower, upper)
@@ -178,38 +189,87 @@ def compact_tables(
                 options.block_restart_interval, drop_deletes,
                 smallest_snapshot=smallest_snapshot, tracer=tracer,
             )
-        elif spec.backend == "process":
-            from .backends.processbackend import execute_pipelined_mp
-
-            stats = execute_pipelined_mp(
-                subtasks, sink, options.compression, options.checksum,
-                options.block_bytes, options.block_restart_interval,
-                drop_deletes,
-                compute_workers=max(2, spec.compute_workers),
-                smallest_snapshot=smallest_snapshot, tracer=tracer,
-            )
-        elif compute_pool is not None:
-            stats = execute_pipelined_pooled(
-                subtasks, sink, codec, checksummer, options.block_bytes,
-                pool=compute_pool,
-                restart_interval=options.block_restart_interval,
-                drop_deletes=drop_deletes,
-                queue_capacity=spec.queue_capacity,
-                smallest_snapshot=smallest_snapshot, tracer=tracer,
-            )
         else:
             # S-PPCP is storage parallelism; functionally (one host, one
             # address space) it executes like PCP — the device fan-out
             # matters only for timing, which the sim backend models.
-            stats = execute_pipelined(
-                subtasks, sink, codec, checksummer, options.block_bytes,
-                options.block_restart_interval, drop_deletes,
-                compute_workers=spec.compute_workers,
-                queue_capacity=spec.queue_capacity,
-                smallest_snapshot=smallest_snapshot, tracer=tracer,
+            stats = _execute_pipelined(
+                subtasks, sink, spec, options, codec, checksummer,
+                drop_deletes, smallest_snapshot, tracer, compute_pool,
             )
         outputs = sink.finish()
     return outputs, stats, subtasks
+
+
+def _execute_pipelined(
+    subtasks: Sequence[SubTask],
+    sink: TableSink,
+    spec: ProcedureSpec,
+    options: Options,
+    codec: Codec,
+    checksummer: Checksummer,
+    drop_deletes: bool,
+    smallest_snapshot: Optional[int],
+    tracer: Tracer,
+    compute_pool,
+) -> ExecutionStats:
+    """Run a pipelined spec with S2–S6 on one of three executors.
+
+    ``backend="process"`` ships compute to worker processes; otherwise
+    it runs on ``compute_pool`` when the caller shares one, else on a
+    private pool of ``spec.compute_workers`` threads.
+    """
+    if spec.backend == "process":
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = max(2, spec.compute_workers)
+        executor = ProcessPoolExecutor(max_workers=workers)
+
+        def submit(subtask: SubTask, stored: list):
+            future = executor.submit(
+                compute_remote, [(b.source, b.data) for b in stored],
+                subtask.lower, subtask.upper, options.compression,
+                options.checksum, options.block_bytes,
+                options.block_restart_interval, drop_deletes,
+                smallest_snapshot,
+            )
+            if tracer.enabled:
+                # Worker processes are not instrumented: one coarse span
+                # per sub-task, dispatch to completion as seen from here.
+                start = tracer.now()
+                future.add_done_callback(lambda _f: tracer.add_complete(
+                    "S2-S6:compute", start, tracer.now(), cat="compute",
+                    thread="mp-pool", subtask=subtask.index,
+                ))
+            return future
+    else:
+        workers = spec.compute_workers
+        executor = compute_pool or ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="pcp-compute"
+        )
+
+        def compute(subtask: SubTask, stored: list):
+            t0 = time.perf_counter()
+            encoded = run_subtask_compute(
+                subtask, stored, codec, checksummer, options.block_bytes,
+                options.block_restart_interval, drop_deletes,
+                smallest_snapshot, tracer=tracer,
+            )
+            return encoded, time.perf_counter() - t0
+
+        def submit(subtask: SubTask, stored: list):
+            return executor.submit(compute, subtask, stored)
+
+    try:
+        # Each busy worker holds one sub-task's future in the FIFO;
+        # queue_capacity more may wait for compute or for S7.
+        return execute_pipelined(
+            subtasks, sink, submit,
+            queue_capacity=spec.queue_capacity + workers, tracer=tracer,
+        )
+    finally:
+        if executor is not compute_pool:
+            executor.shutdown(wait=True)
 
 
 def subtask_jobs(

@@ -210,8 +210,6 @@ class DB:
             spec = canonical_spec(None, self.options)  # legacy => leveled
         self.policy = make_policy(spec, self.options)
         self.version.policy_spec = self.policy.spec()
-        #: Back-compat alias (the pre-policy engine called it a picker).
-        self.picker = self.policy
         self.memtable = MemTable(seed=0)
         self._replay_wal(log_number)
         if len(self.memtable):
@@ -408,7 +406,7 @@ class DB:
 
     def _maybe_stall(self) -> None:
         """Paper §I: slow compaction causes write pauses."""
-        if self.picker.write_stall(self.version):
+        if self.policy.write_stall(self.version):
             import time
 
             self.stats.write_stalls += 1
@@ -422,7 +420,7 @@ class DB:
             with self.obs.tracer.span("write-stall", cat="stall"):
                 if self._background:
                     while (
-                        self.picker.write_stall(self.version)
+                        self.policy.write_stall(self.version)
                         and not self._closed
                     ):
                         self._bg_wake.notify_all()
@@ -663,7 +661,7 @@ class DB:
     # ------------------------------------------------------ compaction
     def _compact_until_quiet(self) -> None:
         while True:
-            task = self.picker.pick(self.version)
+            task = self.policy.pick(self.version)
             if task is None:
                 return
             self._run_compaction(task)
@@ -681,7 +679,7 @@ class DB:
             )
         with self._lock:
             self._check_open()
-            task = self.picker.pick(self.version)
+            task = self.policy.pick(self.version)
             if task is None:
                 return False
             self._run_compaction(task)
@@ -948,12 +946,12 @@ class DB:
             with self._lock:
                 while (
                     not self._closed
-                    and not self.picker.needs_compaction(self.version)
+                    and not self.policy.needs_compaction(self.version)
                 ):
                     self._bg_wake.wait(timeout=0.1)
                 if self._closed:
                     return
-                task = self.picker.pick(self.version)
+                task = self.policy.pick(self.version)
                 if task is None:
                     continue
                 self._compacting = True
@@ -975,7 +973,7 @@ class DB:
         """Block until no compaction is due (background mode helper)."""
         with self._lock:
             while (
-                self.picker.needs_compaction(self.version)
+                self.policy.needs_compaction(self.version)
                 and self._bg_error is None
                 and not self._closed
             ):
@@ -1111,7 +1109,7 @@ class DB:
         with ``ShardedDB.write_stalled`` and ignored: a single DB owns
         every key.
         """
-        return self.picker.write_stall(self.version)
+        return self.policy.write_stall(self.version)
 
     def num_files(self, level: int) -> int:
         with self._lock:

@@ -227,7 +227,6 @@ class Histogram:
 class LatencyHistogram(Histogram):
     """Seconds-in, milliseconds-out histogram (the STATS wire shape).
 
-    Drop-in for the former ``repro.server.metrics.LatencyHistogram``:
     1 µs–1000 s grid, 24 buckets per decade, and a ``snapshot()`` whose
     keys carry the ``_ms`` suffix the wire format promises.
     """
@@ -236,19 +235,6 @@ class LatencyHistogram(Histogram):
 
     def __init__(self) -> None:
         super().__init__(lo=1e-6, hi=1e3, buckets_per_decade=24)
-
-    # Back-compat aliases (latencies are recorded in seconds).
-    @property
-    def sum_s(self) -> float:
-        return self.total
-
-    @property
-    def min_s(self) -> float:
-        return self.vmin
-
-    @property
-    def max_s(self) -> float:
-        return self.vmax
 
     def snapshot(self) -> dict:
         """Summary dict (latencies in milliseconds, for STATS/JSON)."""

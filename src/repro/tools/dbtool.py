@@ -969,10 +969,9 @@ def cmd_trace(args) -> int:
     from ..obs import Observability, Tracer, pipeline_overlap
     from ..workload.ycsb import YCSBWorkload
 
-    spec_kw = {"subtask_bytes": args.subtask_kb * 1024}
-    if args.procedure in ("sppcp", "cppcp"):
-        spec_kw["k"] = 2
-    spec = getattr(ProcedureSpec, args.procedure)(**spec_kw)
+    spec = ProcedureSpec.from_name(
+        args.procedure, subtask_bytes=args.subtask_kb * 1024
+    )
     # Tiny thresholds so a small load produces several multi-sub-task
     # compactions (and therefore a visibly pipelined trace).
     options = Options(

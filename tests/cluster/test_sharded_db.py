@@ -272,7 +272,7 @@ class TestStallRouting:
             assert db.write_stalled() is False
             assert db.stalled_shards() == []
             # Force shard 1 (keys in [h, p)) to report a stall.
-            db.shards[1].picker.write_stall = lambda version: True
+            db.shards[1].policy.write_stall = lambda version: True
             assert db.stalled_shards() == [1]
             assert db.write_stalled() is True
             assert db.write_stalled(keys=[b"aaa"]) is False

@@ -2,16 +2,23 @@
 
 The paper's central legality argument is that sub-tasks are independent,
 so any schedule produces the same merged output.  These tests compact
-real tables with SCP, PCP, and C-PPCP and assert bit-identical results.
+real tables with SCP, PCP, S-PPCP and C-PPCP, with the pipelined
+compute stage on each executor, and assert bit-identical results.
 """
 
+import dataclasses
 import itertools
+import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
+from repro.cluster import SharedComputePool
 from repro.core.procedures import ProcedureSpec, compact_tables
 from repro.core.steps import step_merge
-from repro.devices import MemStorage
+from repro.devices import MemStorage, TransientIOError
+from repro.devices.vfs import WritableFile
 from repro.lsm.ikey import (
     KIND_DELETE,
     KIND_VALUE,
@@ -22,6 +29,7 @@ from repro.lsm.ikey import (
 )
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
+from repro.lsm.table_format import TableCorruption
 from repro.lsm.table_reader import Table
 
 
@@ -148,18 +156,41 @@ class TestSCPFunctional:
         pytest.fail("no output file covers key-00004")
 
 
+_SPECS = {
+    "pcp": ProcedureSpec.pcp(subtask_bytes=2048),
+    "cppcp3": ProcedureSpec.cppcp(k=3, subtask_bytes=2048),
+    "sppcp2": ProcedureSpec.sppcp(k=2, subtask_bytes=2048),
+    "pcp-q1": ProcedureSpec.pcp(subtask_bytes=2048, queue_capacity=1),
+}
+
+#: Where S2-S6 run: the private per-compaction threads (unsuffixed ids),
+#: a shared pool the caller owns, or worker processes.
+EXECUTORS = ("threads", "shared-pool", "process")
+
+
+def _case_id(name, executor):
+    return name if executor == "threads" else f"{name}-{executor}"
+
+
+@contextmanager
+def _executor(spec, executor):
+    """Yield ``(spec, compute_pool)`` running compute on ``executor``."""
+    if executor == "shared-pool":
+        with SharedComputePool(2) as pool:
+            yield spec, pool
+    elif executor == "process":
+        yield dataclasses.replace(spec, backend="process"), None
+    else:
+        yield spec, None
+
+
 class TestProcedureEquivalence:
     @pytest.mark.parametrize(
-        "spec",
-        [
-            ProcedureSpec.pcp(subtask_bytes=2048),
-            ProcedureSpec.cppcp(k=3, subtask_bytes=2048),
-            ProcedureSpec.sppcp(k=2, subtask_bytes=2048),
-            ProcedureSpec.pcp(subtask_bytes=2048, queue_capacity=1),
-        ],
-        ids=["pcp", "cppcp3", "sppcp2", "pcp-q1"],
+        "name,executor",
+        [(n, e) for e in EXECUTORS for n in _SPECS],
+        ids=[_case_id(n, e) for e in EXECUTORS for n in _SPECS],
     )
-    def test_pipelined_output_identical_to_scp(self, setup, spec):
+    def test_pipelined_output_identical_to_scp(self, setup, name, executor):
         storage, options, upper, lower, *_ = setup
         c1 = itertools.count(100)
         scp_out, _, _ = compact_tables(
@@ -168,11 +199,13 @@ class TestProcedureEquivalence:
             spec=ProcedureSpec.scp(subtask_bytes=2048),
         )
         c2 = itertools.count(100)
-        pipe_out, _, _ = compact_tables(
-            [upper, lower], storage, options,
-            file_namer=lambda: f"pipe-{next(c2):06d}.sst",
-            spec=spec,
-        )
+        with _executor(_SPECS[name], executor) as (spec, pool):
+            pipe_out, stats, subtasks = compact_tables(
+                [upper, lower], storage, options,
+                file_namer=lambda: f"pipe-{next(c2):06d}.sst",
+                spec=spec, compute_pool=pool,
+            )
+        assert stats.n_subtasks == len(subtasks)
         scp_bytes = [storage.open(m.name).read_all() for m in scp_out]
         pipe_bytes = [storage.open(m.name).read_all() for m in pipe_out]
         assert scp_bytes == pipe_bytes  # bit-identical outputs
@@ -189,6 +222,87 @@ class TestProcedureEquivalence:
         assert stats.output_bytes > 0
         assert stats.wall_seconds > 0
         assert stats.bandwidth() > 0
+
+
+class _SlowFailingWritable(WritableFile):
+    """An output file whose first append stalls, then fails."""
+
+    def append(self, data):
+        time.sleep(0.5)
+        raise TransientIOError("injected EIO on S7")
+
+    def flush(self):
+        pass
+
+    def sync(self):
+        pass
+
+    def close(self):
+        pass
+
+    def tell(self):
+        return 0
+
+
+class _SlowFailingStorage(MemStorage):
+    def create(self, name):
+        return _SlowFailingWritable()
+
+
+def _pcp_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("pcp-")]
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+class TestPipelineFailures:
+    """Stage failures re-raise in the caller and leave nothing running."""
+
+    def test_corrupt_block_raises(self, setup, executor):
+        storage, options, upper, *_ = setup
+        data = bytearray(storage.open("u.sst").read_all())
+        data[10] ^= 0x01
+        bad_storage = MemStorage()
+        with bad_storage.create("u.sst") as f:
+            f.append(bytes(data))
+        bad_upper = Table(
+            bad_storage.open("u.sst"),
+            Options(block_bytes=512, compression="lz77", paranoid_checks=False),
+        )
+        counter = itertools.count(100)
+        with _executor(_SPECS["cppcp3"], executor) as (spec, pool):
+            with pytest.raises(TableCorruption):
+                compact_tables(
+                    [bad_upper], storage, options,
+                    file_namer=lambda: f"bad-{next(counter):06d}.sst",
+                    spec=spec, compute_pool=pool,
+                )
+        assert _pcp_threads() == []
+
+    def test_slow_failing_write_raises_promptly(self, setup, executor):
+        _, options, upper, lower, *_ = setup
+        counter = itertools.count(100)
+        raised = []
+
+        def compact():
+            # Many more sub-tasks than the pipeline holds, so every
+            # stage is blocked on a full queue when the write fails.
+            small = ProcedureSpec.pcp(subtask_bytes=512)
+            with _executor(small, executor) as (spec, pool):
+                try:
+                    compact_tables(
+                        [upper, lower], _SlowFailingStorage(), options,
+                        file_namer=lambda: f"out-{next(counter):06d}.sst",
+                        spec=spec, compute_pool=pool,
+                    )
+                except TransientIOError as exc:
+                    raised.append(exc)
+
+        worker = threading.Thread(target=compact, name="test-compact", daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), "compaction hung after a failed S7 write"
+        assert len(raised) == 1
+        assert _pcp_threads() == []
 
 
 class TestTombstones:
@@ -292,33 +406,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ProcedureSpec.scp().pipeline_config()
 
+    def test_from_name(self):
+        assert ProcedureSpec.from_name("scp") == ProcedureSpec.scp()
+        assert ProcedureSpec.from_name("pcp", subtask_bytes=4096) == (
+            ProcedureSpec.pcp(subtask_bytes=4096)
+        )
+        assert ProcedureSpec.from_name("cppcp") == ProcedureSpec.cppcp(2)
+        assert ProcedureSpec.from_name("sppcp") == ProcedureSpec.sppcp(2)
+
     def test_config_mapping(self):
         assert ProcedureSpec.sppcp(4).pipeline_config().n_devices == 4
         assert ProcedureSpec.cppcp(4).pipeline_config().compute_workers == 4
         assert ProcedureSpec.pcp().pipeline_config().n_devices == 1
-
-
-class TestReorderBuffer:
-    def test_in_order(self):
-        from repro.core.backends.threadbackend import ReorderBuffer
-
-        rb = ReorderBuffer()
-        assert rb.push(0, "a") == ["a"]
-        assert rb.push(1, "b") == ["b"]
-
-    def test_out_of_order_buffered(self):
-        from repro.core.backends.threadbackend import ReorderBuffer
-
-        rb = ReorderBuffer()
-        assert rb.push(2, "c") == []
-        assert rb.push(1, "b") == []
-        assert rb.push(0, "a") == ["a", "b", "c"]
-        assert len(rb) == 0
-
-    def test_duplicate_rejected(self):
-        from repro.core.backends.threadbackend import ReorderBuffer
-
-        rb = ReorderBuffer()
-        rb.push(0, "a")
-        with pytest.raises(ValueError):
-            rb.push(0, "again")

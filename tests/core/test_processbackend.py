@@ -1,10 +1,12 @@
-"""Tests for the process-pool compute backend (real parallelism)."""
+"""Tests for the process-pool compute backend (real parallelism).
 
-import itertools
+Bit-identical output and failure propagation on worker processes are
+covered with the other executors in ``test_functional.py``.
+"""
 
 import pytest
 
-from repro.core.backends.processbackend import compute_remote, execute_pipelined_mp
+from repro.core.backends.processbackend import compute_remote
 from repro.core.procedures import ProcedureSpec, compact_tables
 from repro.core.subtask import partition_subtasks
 from repro.devices import MemStorage
@@ -12,7 +14,6 @@ from repro.lsm.ikey import KIND_VALUE, encode_internal_key
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
 from repro.lsm.table_reader import Table
-from repro.lsm.table_sink import TableSink
 
 
 def _ik(user, seq=1):
@@ -44,7 +45,7 @@ def test_compute_remote_is_picklable_roundtrip(inputs):
     storage, options, upper, lower = inputs
     subtasks = partition_subtasks([upper, lower], 2048)
     stored = run_subtask_read(subtasks[0])
-    encoded = compute_remote(
+    encoded, seconds = compute_remote(
         [(b.source, b.data) for b in stored],
         subtasks[0].lower, subtasks[0].upper,
         options.compression, options.checksum,
@@ -53,72 +54,22 @@ def test_compute_remote_is_picklable_roundtrip(inputs):
     )
     assert encoded
     assert all(b.num_entries > 0 for b in encoded)
-
-
-def test_mp_output_identical_to_scp(inputs):
-    storage, options, upper, lower = inputs
-    c1 = itertools.count(1)
-    scp_out, _, _ = compact_tables(
-        [upper, lower], storage, options,
-        file_namer=lambda: f"scp-{next(c1):04d}.sst",
-        spec=ProcedureSpec.scp(subtask_bytes=2048),
-    )
-    subtasks = partition_subtasks([upper, lower], 2048)
-    c2 = itertools.count(1)
-    sink = TableSink(storage, options, lambda: f"mp-{next(c2):04d}.sst")
-    stats = execute_pipelined_mp(
-        subtasks, sink, options.compression, options.checksum,
-        options.block_bytes, options.block_restart_interval,
-        compute_workers=2,
-    )
-    mp_out = sink.finish()
-    assert stats.n_subtasks == len(subtasks)
-    scp_bytes = [storage.open(m.name).read_all() for m in scp_out]
-    mp_bytes = [storage.open(m.name).read_all() for m in mp_out]
-    assert scp_bytes == mp_bytes
+    assert seconds > 0
 
 
 def test_mp_empty_subtasks(inputs):
     storage, options, *_ = inputs
-    sink = TableSink(storage, options, lambda: "never.sst")
-    stats = execute_pipelined_mp(
-        [], sink, options.compression, options.checksum, options.block_bytes
+    outputs, stats, subtasks = compact_tables(
+        [], storage, options, file_namer=lambda: "never.sst",
+        spec=ProcedureSpec.cppcp(k=2, backend="process"),
     )
-    assert stats.n_subtasks == 0
-    assert sink.finish() == []
+    assert subtasks == [] and stats.n_subtasks == 0
+    assert outputs == []
 
 
-def test_mp_invalid_workers(inputs):
-    storage, options, *_ = inputs
-    sink = TableSink(storage, options, lambda: "x.sst")
+def test_mp_invalid_workers():
     with pytest.raises(ValueError):
-        execute_pipelined_mp(
-            [], sink, options.compression, options.checksum,
-            options.block_bytes, compute_workers=0,
-        )
-
-
-def test_mp_worker_exception_propagates(inputs):
-    """Corrupt input: the worker's checksum failure reaches the caller."""
-    storage, options, upper, lower = inputs
-    data = bytearray(storage.open("u.sst").read_all())
-    data[10] ^= 0x01
-    bad_storage = MemStorage()
-    with bad_storage.create("u.sst") as f:
-        f.append(bytes(data))
-    bad_upper = Table(
-        bad_storage.open("u.sst"),
-        Options(block_bytes=512, compression="lz77", paranoid_checks=False),
-    )
-    subtasks = partition_subtasks([bad_upper], 2048)
-    sink = TableSink(storage, options, lambda: "bad.sst")
-    from repro.lsm.table_format import TableCorruption
-
-    with pytest.raises(TableCorruption):
-        execute_pipelined_mp(
-            subtasks, sink, options.compression, options.checksum,
-            options.block_bytes, compute_workers=2,
-        )
+        ProcedureSpec.cppcp(k=0, backend="process")
 
 
 def test_spec_backend_validation():

@@ -173,11 +173,11 @@ class TestCompactionIntegration:
             def fake_stall(version):
                 return next(stall_once, False)
 
-            monkeypatch.setattr(db.picker, "write_stall", fake_stall)
+            monkeypatch.setattr(db.policy, "write_stall", fake_stall)
             db.put(b"k", b"v")
             assert db.stats.write_stalls == 1
             # Sync mode resolved the stall by compacting until quiet.
-            assert not db.picker.needs_compaction(db.version)
+            assert not db.policy.needs_compaction(db.version)
 
 
 class TestScan:

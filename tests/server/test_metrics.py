@@ -3,7 +3,8 @@
 import random
 
 from repro.server import protocol as P
-from repro.server.metrics import LatencyHistogram, ServerMetrics
+from repro.obs import LatencyHistogram
+from repro.server.metrics import ServerMetrics
 
 
 class TestLatencyHistogram:
@@ -20,7 +21,7 @@ class TestLatencyHistogram:
         # Log-bucketing: the estimate lands in the right bucket
         # (~10 % wide) and is clamped to the observed min/max.
         assert histogram.percentile(50) == 0.010
-        assert histogram.min_s == histogram.max_s == 0.010
+        assert histogram.vmin == histogram.vmax == 0.010
 
     def test_percentiles_are_ordered_and_bracketed(self):
         histogram = LatencyHistogram()
@@ -44,8 +45,8 @@ class TestLatencyHistogram:
         # Estimates stay inside the bucket range; raw extremes are
         # preserved in min/max.
         assert histogram.percentile(100) >= 1e3
-        assert histogram.max_s == 1e6
-        assert histogram.min_s == 1e-9
+        assert histogram.vmax == 1e6
+        assert histogram.vmin == 1e-9
 
     def test_snapshot_fields(self):
         histogram = LatencyHistogram()

@@ -180,7 +180,7 @@ class TestPipelining:
 class TestBackpressure:
     def test_stalled_write_is_retried_transparently(self, mem_server):
         server = mem_server.server
-        real = server.db.picker.write_stall
+        real = server.db.policy.write_stall
         fails = {"n": 3}
 
         def fake_write_stall(version):
@@ -189,7 +189,7 @@ class TestBackpressure:
                 return True
             return real(version)
 
-        server.db.picker.write_stall = fake_write_stall
+        server.db.policy.write_stall = fake_write_stall
         try:
             config_retry = SyncClient(mem_server.host, mem_server.port)
             try:
@@ -200,12 +200,12 @@ class TestBackpressure:
                 config_retry.close()
             assert server.metrics.stall_rejections == 3
         finally:
-            server.db.picker.write_stall = real
+            server.db.policy.write_stall = real
 
     def test_stall_budget_exhaustion_raises(self, mem_server):
         server = mem_server.server
-        real = server.db.picker.write_stall
-        server.db.picker.write_stall = lambda version: True
+        real = server.db.policy.write_stall
+        server.db.policy.write_stall = lambda version: True
         try:
             with SyncClient(
                 mem_server.host, mem_server.port, max_retries=2
@@ -215,20 +215,20 @@ class TestBackpressure:
                 # Reads are never stall-gated.
                 assert c.get(b"nothing") is None
         finally:
-            server.db.picker.write_stall = real
+            server.db.policy.write_stall = real
 
     def test_reads_pass_during_stall(self, mem_server):
         server = mem_server.server
         with SyncClient(mem_server.host, mem_server.port) as c:
             c.put(b"k", b"v")
-            real = server.db.picker.write_stall
-            server.db.picker.write_stall = lambda version: True
+            real = server.db.policy.write_stall
+            server.db.policy.write_stall = lambda version: True
             try:
                 assert c.get(b"k") == b"v"
                 pairs, _ = c.scan()
                 assert pairs
             finally:
-                server.db.picker.write_stall = real
+                server.db.policy.write_stall = real
 
 
 class TestProtocolRobustness:
